@@ -8,11 +8,14 @@ sets up and runs it once with the layer tracer installed.  The last stdout
 line is one JSON object.
 
 Set-up is timed from process start, so the interpreter, every import,
-input generation and system construction count.  ``run.py`` sets the
-noise controls in the environment before this process starts (BLAS and
-OpenMP at one thread, a fixed ``PYTHONHASHSEED``), which is the only way
-they reach the interpreter and numpy; this process refuses to run
-without them.
+input generation and system construction count.  Set-up is sampled like
+the timed run, from a timer signal, so ``run.py`` can rescale it stretch
+by stretch.
+
+``run.py`` sets the noise controls in the environment before this process
+starts (BLAS and OpenMP at one thread, a fixed ``PYTHONHASHSEED``), which
+is the only way they reach the interpreter and numpy; this process
+refuses to run without them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import operator
 import os
 import resource
+import signal
 import statistics
 import sys
 import time
@@ -38,6 +42,11 @@ sys.path.insert(0, str(ROOT))
 SIM_SAMPLES = 400
 #: Timed rounds of the speed probe at each sampling point (~0.3 ms).
 PROBE_ROUNDS = 4
+#: Probes whose median the first sampling point of set-up, and of the
+#: timed run, takes (~10 ms): the stretch before it has no other probe.
+SETUP_PROBES = 15
+#: Wall seconds between two set-up sampling points.
+SETUP_TICK_S = 0.05
 OUT_DIR = ROOT / ".perfbench"
 
 
@@ -93,16 +102,42 @@ class SpeedProbe:
             self._round()
         return time.process_time() - start
 
-    def level(self, samples: list) -> float:
-        """Typical probe time of a pass: its samples plus a few fresh probes
-        (a traced pass samples only at its start and end)."""
-        return statistics.median([s[3] for s in samples] + [self() for _ in range(20)])
+    def sample(self, count: int, repeats: int = 1) -> tuple:
+        """A sampling point: ``(cpu, wall, count, probe, cpu_after, wall_after)``.
 
-    def sample(self, count: int) -> tuple:
-        """A sampling point: ``(cpu, wall, count, probe, cpu_after, wall_after)``."""
+        With ``repeats`` the probe is the median of that many probes.
+        """
         cpu_before, wall_before = time.process_time(), time.perf_counter()
-        probe = self()
+        probe = statistics.median(self() for _ in range(repeats))
         return (cpu_before, wall_before, count, probe, time.process_time(), time.perf_counter())
+
+
+class SetupSampler:
+    """Samples CPU time and the speed probe every ``SETUP_TICK_S`` from a
+    wall-clock timer signal until :meth:`stop`.
+
+    Set-up has no loop of its own to sample from, and the machine's slow
+    spells and short bursts hit it as they hit the timed run.  The handler
+    only reads clocks and runs the probe, so the program's outcome is
+    unchanged.  The timer counts wall time: while a process CPU timer
+    (``ITIMER_PROF``) is armed, Linux reads the process CPU clock only to
+    the scheduler tick, and the probe would measure zero.
+    """
+
+    def __init__(self, probe: SpeedProbe) -> None:
+        self.probe = probe
+        self.samples = [probe.sample(0, SETUP_PROBES)]
+        #: Process CPU when the program's imports were done.
+        self.imports_cpu = 0.0
+        self._previous = signal.signal(signal.SIGALRM, self._tick)
+        signal.setitimer(signal.ITIMER_REAL, SETUP_TICK_S, SETUP_TICK_S)
+
+    def _tick(self, _signum, _frame) -> None:
+        self.samples.append(self.probe.sample(0))
+
+    def stop(self) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, self._previous)
 
 
 def timed_cpu(samples: list) -> float:
@@ -122,7 +157,7 @@ def digest(summary) -> str:
 # --------------------------------------------------------------------------- #
 # Simulated workloads
 # --------------------------------------------------------------------------- #
-def measure_sim(name: str, seed: int, seconds: float, mode: str, imports_cpu: float) -> dict:
+def measure_sim(name: str, seed: int, seconds: float, mode: str, setup: SetupSampler) -> dict:
     import repro
     from perfbench.workloads import sim_scenario
     from repro.experiments.runner import ExperimentRunner
@@ -137,29 +172,37 @@ def measure_sim(name: str, seed: int, seconds: float, mode: str, imports_cpu: fl
         layers.install(tracer)
 
     scenario = sim_scenario(name, seconds)
-    probe = SpeedProbe()
-    state: dict = {"samples": []}
+    state: dict = {}
+    samples: list = []
+    collector = None
+    probe = setup.probe
     original_run = ExperimentRunner.run
 
+    def take_sample(_event) -> None:
+        samples.append(probe.sample(collector.total_arrivals))
+
+    if tracer is not None:
+        # The probe runs inside the engine's span: as a span of its own it
+        # is left out of every layer's self time.
+        take_sample = tracer.wrap(take_sample, layers.PROBE_SPAN)
+
     def timed_run(runner, system, trace, **kwargs):
+        nonlocal collector
         state["setup_cpu"] = cpu()
         state["system"] = system
         if tracer is not None:
             state["cache_before"] = layers.cache_counters(system.cache)
+        setup.stop()
         gc.collect()
-        samples = state["samples"]
         collector = system.collector
-        if mode == "run":
-            # Sampling events only read clocks and counters; they change
-            # no program state, so the run's outcome is unchanged.  The
-            # drain after the last arrival is one stretch.
-            spacing = trace.duration_minutes * 60.0 / SIM_SAMPLES
-            for index in range(1, SIM_SAMPLES + 1):
-                system.engine.schedule_at(
-                    index * spacing,
-                    lambda _e: samples.append(probe.sample(collector.total_arrivals)),
-                )
-        samples.append(probe.sample(0))
+        # Sampling events only read clocks and counters; they change no
+        # program state, so the run's outcome is unchanged.  Traced and
+        # untraced passes sample at the same simulated times.  The drain
+        # after the last arrival is one stretch.
+        spacing = trace.duration_minutes * 60.0 / SIM_SAMPLES
+        for index in range(1, SIM_SAMPLES + 1):
+            system.engine.schedule_at(index * spacing, take_sample)
+        samples.append(probe.sample(0, SETUP_PROBES))
         return original_run(runner, system, trace, **kwargs)
 
     ExperimentRunner.run = timed_run
@@ -167,8 +210,7 @@ def measure_sim(name: str, seed: int, seconds: float, mode: str, imports_cpu: fl
         run = repro.api.run(scenario, preset="bench", seed=seed)
     finally:
         ExperimentRunner.run = original_run
-    state["samples"].append(probe.sample(run.summary.total_arrivals))
-    run_start, run_end = state["samples"][0][4], state["samples"][-1][0]
+    samples.append(probe.sample(run.summary.total_arrivals))
 
     summary = run.summary
     outstanding = run.extras["outstanding"]
@@ -176,10 +218,9 @@ def measure_sim(name: str, seed: int, seconds: float, mode: str, imports_cpu: fl
     checks = verify_report(report, scenario.contracts)
     result = {
         "setup_s": state["setup_cpu"],
-        "imports_s": imports_cpu,
-        "probe_s": probe.level(state["samples"]),
-        "timed_cpu_s": timed_cpu(state["samples"]),
-        "samples": state["samples"],
+        "setup_samples": setup.samples,
+        "timed_cpu_s": timed_cpu(samples),
+        "samples": samples,
         "attempted": summary.total_arrivals,
         "failed": summary.dropped_requests
         + outstanding["worker_queues"]
@@ -197,29 +238,47 @@ def measure_sim(name: str, seed: int, seconds: float, mode: str, imports_cpu: fl
     if summary.total_arrivals == 0:
         result["errors"].append("the workload produced no arrivals")
     if tracer is not None:
-        tracer.uninstall()
-        values, accounting = layers.per_layer_metrics(
+        finish_trace(
             tracer,
-            run_start,
-            run_end,
+            name,
+            result,
+            samples,
             summary.total_arrivals,
-            {"imports": imports_cpu, "setup": state["setup_cpu"]},
-            system=state["system"],
-            counters_before=state["cache_before"],
+            setup,
+            state["system"],
+            state["cache_before"],
         )
-        result["per_layer"] = values
-        result["accounting"] = accounting
-        tracer.write(OUT_DIR / f"spans-{name}.jsonl")
     return result
+
+
+def finish_trace(tracer, name, result, samples, arrivals, setup, system, cache_before) -> None:
+    """Put the per-layer metrics and the self-time accounting into ``result``."""
+    from perfbench import layers
+
+    tracer.uninstall()
+    values, accounting = layers.per_layer_metrics(
+        tracer,
+        samples[0][4],
+        samples[-1][0],
+        timed_cpu(samples),
+        arrivals,
+        {"imports": setup.imports_cpu, "setup": result["setup_s"]},
+        system=system,
+        counters_before=cache_before,
+    )
+    result["per_layer"] = values
+    result["accounting"] = accounting
+    result["errors"] += [f"trace target {target} not found" for target in tracer.missing]
+    tracer.write(OUT_DIR / f"spans-{name}.jsonl")
 
 
 # --------------------------------------------------------------------------- #
 # Live gateway workload
 # --------------------------------------------------------------------------- #
-def measure_live(name: str, seed: int, seconds: float, mode: str, imports_cpu: float) -> dict:
+def measure_live(name: str, seed: int, seconds: float, mode: str, setup: SetupSampler) -> dict:
     import asyncio
 
-    return asyncio.run(_measure_live(name, seed, seconds, mode, imports_cpu))
+    return asyncio.run(_measure_live(name, seed, seconds, mode, setup))
 
 
 async def _read_response(reader) -> tuple[int, bytes]:
@@ -246,7 +305,7 @@ def _http_request(method: str, path: str, host: str, port: int, body: bytes = b"
     return head.encode("latin-1") + body
 
 
-async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports_cpu: float):
+async def _measure_live(name: str, seed: int, seconds: float, mode: str, setup: SetupSampler):
     import asyncio
     from dataclasses import asdict
 
@@ -287,13 +346,14 @@ async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports
             for p in prompts
         ]
         setup_cpu = cpu()
+        setup.stop()
+        probe = setup.probe
         cache_before = layers.cache_counters(gateway.cache) if tracer is not None else (0, 0)
-        probe = SpeedProbe()
         latencies = [0.0] * count
         statuses = [0] * count
         errors: list[str] = []
         gc.collect()
-        samples = [probe.sample(0)]
+        samples = [probe.sample(0, SETUP_PROBES)]
         cursor = iter(range(count))
         done = 0
         # Wall time the event loop spent in speed probes so far: a request
@@ -313,7 +373,7 @@ async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports
                     if status == 200 and b'"request_id"' not in body:
                         errors.append(f"request {index}: response without a request id")
                     done += 1
-                    if tracer is None and done % spec.sample_every == 0:
+                    if done % spec.sample_every == 0:
                         samples.append(probe.sample(done))
                         probe_wall[0] += samples[-1][5] - samples[-1][1]
             except (ConnectionError, asyncio.IncompleteReadError, ValueError, IndexError) as exc:
@@ -323,9 +383,8 @@ async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports
                 await writer.wait_closed()
 
         await asyncio.gather(*(client() for _ in range(spec.clients)))
-        if tracer is not None or done % spec.sample_every:
+        if done % spec.sample_every:
             samples.append(probe.sample(done))
-        run_start, run_end = samples[0][4], samples[-1][0]
 
         reader, writer = await asyncio.open_connection(host, port)
         try:
@@ -354,8 +413,7 @@ async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports
             )
     result = {
         "setup_s": setup_cpu,
-        "imports_s": imports_cpu,
-        "probe_s": probe.level(samples),
+        "setup_samples": setup.samples,
         "timed_cpu_s": timed_cpu(samples),
         "samples": samples,
         "attempted": count,
@@ -368,19 +426,7 @@ async def _measure_live(name: str, seed: int, seconds: float, mode: str, imports
         "errors": errors,
     }
     if tracer is not None:
-        tracer.uninstall()
-        values, accounting = layers.per_layer_metrics(
-            tracer,
-            run_start,
-            run_end,
-            count,
-            {"imports": imports_cpu, "setup": setup_cpu},
-            system=gateway,
-            counters_before=cache_before,
-        )
-        result["per_layer"] = values
-        result["accounting"] = accounting
-        tracer.write(OUT_DIR / f"spans-{name}.jsonl")
+        finish_trace(tracer, name, result, samples, count, setup, gateway, cache_before)
     return result
 
 
@@ -398,18 +444,19 @@ def main() -> int:
         print(f"child: noise controls missing from the environment: {wrong}", file=sys.stderr)
         return 2
 
-    import numpy  # noqa: F401  (imports are part of set-up)
+    import numpy  # noqa: F401  (imports are part of set-up; the probe needs numpy)
 
+    setup = SetupSampler(SpeedProbe())
     import repro  # noqa: F401
     import repro.api  # noqa: F401
 
-    imports_cpu = cpu()
+    setup.imports_cpu = cpu()
     from perfbench.workloads import LIVE_WORKLOADS, SIM_WORKLOADS
 
     if args.workload in SIM_WORKLOADS:
-        result = measure_sim(args.workload, args.seed, args.seconds, args.mode, imports_cpu)
+        result = measure_sim(args.workload, args.seed, args.seconds, args.mode, setup)
     elif args.workload in LIVE_WORKLOADS:
-        result = measure_live(args.workload, args.seed, args.seconds, args.mode, imports_cpu)
+        result = measure_live(args.workload, args.seed, args.seconds, args.mode, setup)
     else:
         print(f"child: unknown workload {args.workload!r}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ counters after the run where the call boundary carries no result
 
 from __future__ import annotations
 
-import sys
-
 from perfbench.tracer import Tracer
+
+#: Span name of the speed probes a traced pass takes (see ``child.py``).
+PROBE_SPAN = "trace.probe"
 
 #: Per-layer metric names and units, in the order BENCHMARK.json lists them.
 PER_LAYER = {
@@ -133,13 +134,12 @@ TARGETS = (
 
 
 def install(tracer: Tracer) -> None:
-    """Wrap every target (missing ones are recorded, not fatal)."""
+    """Wrap every target; a missing one lands in ``tracer.missing``, which
+    the measurement process reports as a failed check."""
     for module, path, name, observe, request_arg in TARGETS:
         tracer.install(module, path, name, observe=observe, request_arg=request_arg)
     # Arrival generation happens lazily, one ``next()`` per simulated arrival.
     tracer.install_iterator("repro.workloads.replay", "RequestStream.__iter__", "workloads.arrival")
-    for target in tracer.missing:
-        print(f"trace: {target} not found; its layer reads zero", file=sys.stderr)
 
 
 def _evictions(cache) -> int:
@@ -166,6 +166,7 @@ def per_layer_metrics(
     tracer: Tracer,
     run_start: float,
     run_end: float,
+    window: float,
     arrivals: int,
     marks: dict,
     system=None,
@@ -173,11 +174,18 @@ def per_layer_metrics(
 ) -> tuple[dict, dict]:
     """Per-layer metric values and the self-time accounting of the timed run.
 
+    Spans that start between the process-CPU marks ``run_start`` and
+    ``run_end`` count; ``window`` is the timed run's CPU with the speed
+    probes left out, and the probes' own spans are no layer's time.
     ``marks`` holds the set-up CPU marks (``imports``, ``setup``);
     ``system`` is the serving system or the gateway whose own counters are
     read (cache, admission, engine, strategy switches where it has them).
     """
     calls, self_s, wait_s = tracer.totals(since=run_start, until=run_end)
+    # Each probe inside the engine's span is one engine event of our own.
+    probe_events = calls.pop(PROBE_SPAN, 0)
+    self_s.pop(PROBE_SPAN, None)
+    wait_s.pop(PROBE_SPAN, None)
     setup_calls, setup_self, _ = tracer.totals(until=run_start)
     setup_span_s = _inclusive_s(tracer, "setup.system", until=run_start)
     per_req = max(arrivals, 1)
@@ -195,10 +203,11 @@ def per_layer_metrics(
     if system is not None and hasattr(system, "num_strategy_switches"):
         switches = system.num_strategy_switches()
     engine = getattr(system, "engine", None)
-    window = run_end - run_start
     remainder = window - sum(self_s.values())
     values = {
-        "engine.events_per_req": (engine.events_processed / per_req) if engine else 0.0,
+        "engine.events_per_req": (
+            (engine.events_processed - probe_events) / per_req if engine else 0.0
+        ),
         "engine.self_s": self_s["engine.run"],
         "system.submit_s": self_s["system.submit"],
         "scheduler.route_s": self_s["scheduler.route"],

@@ -13,15 +13,16 @@ keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 Each measurement runs in its own child process (``child.py``), started one
 at a time so that nothing else of ours competes for the two cores:
 
-- ``--trace 0``: three identical measured passes.  Set-up time is the
-  median of their three set-ups.  Each pass samples CPU time and a speed
-  probe at the same points of the work; every stretch between samples is
-  rescaled to reference machine speed and taken from the pass that ran it
-  fastest, so a slow spell of the shared machine, or a contention burst
-  that hit one pass, does not count.  Live latencies are taken per request
-  in the same way.  README.md has the measurements behind this.
-- ``--trace 1``: one untraced pass and one traced pass; their outcome
-  digests must match.
+- ``--trace 0``: three identical measured passes.  Each pass samples CPU
+  time and a speed probe at the same points of its work; every stretch
+  between samples is rescaled to reference machine speed and taken from
+  the pass that ran it fastest, so a slow spell of the shared machine, or
+  a contention burst that hit one pass, does not count.  Live latencies
+  are taken per request in the same way.  Set-up is sampled every 50 ms of
+  CPU, rescaled stretch by stretch, and the median of the three passes'
+  set-ups is reported.  README.md has the measurements behind this.
+- ``--trace 1``: one untraced pass and one traced pass, sampled at the same
+  points; their outcome digests must match.
 """
 
 from __future__ import annotations
@@ -117,8 +118,11 @@ def stretches(samples: list) -> list[tuple[float, float]]:
     return [(b[0] - a[4], (a[3] + b[3]) / 2.0) for a, b in zip(samples, samples[1:])]
 
 
-def reference_cpu(passes: list[dict]) -> float:
-    """Timed CPU seconds at reference speed, each stretch from its best pass.
+def reference_cpu(passes: list[list], exponent: float = 1.0) -> float:
+    """CPU seconds at reference speed, each stretch from its best pass.
+
+    ``passes`` holds one list of samples per pass; ``exponent`` is the
+    workload's ``speed_exponent`` (``workloads.py``).
 
     Every stretch's CPU time is rescaled by the speed probes taken on
     either side of it, so a pass that ran while the shared machine was
@@ -127,15 +131,28 @@ def reference_cpu(passes: list[dict]) -> float:
     for the live loop), and each stretch is taken from the pass with the
     lowest rescaled time, so a burst that hit one pass does not count.
     """
-    split = [stretches(p["samples"]) for p in passes]
+    split = [stretches(samples) for samples in passes]
     if len({len(s) for s in split}) != 1:
         raise BenchError("passes sampled a different number of stretches")
     return sum(
-        min(cpu * REFERENCE_PROBE_S / probe for cpu, probe in group) for group in zip(*split)
+        min(cpu * (REFERENCE_PROBE_S / probe) ** exponent for cpu, probe in group)
+        for group in zip(*split)
     )
 
 
-def request_latencies(passes: list[dict], every: int) -> list[float | None]:
+def setup_samples(result: dict) -> list:
+    """A pass's set-up samples, from process start to the timed run.
+
+    Process start is a sample with no probe of its own: the stretch up to
+    the first probe, taken once numpy is imported, is rescaled by that
+    probe alone.
+    """
+    first = result["setup_samples"][0]
+    start = (0.0, 0.0, 0, first[3], 0.0, 0.0)
+    return [start, *result["setup_samples"], result["samples"][0]]
+
+
+def request_latencies(passes: list[dict], every: int, exponent: float) -> list[float | None]:
     """Each live request's round trip at reference speed in its best pass;
     None when it failed in any pass."""
     best = []
@@ -147,7 +164,7 @@ def request_latencies(passes: list[dict], every: int) -> list[float | None]:
         for lat, p in zip(lats, passes):
             near = p["samples"][min(index // every, len(p["samples"]) - 2) :][:2]
             probe = sum(s[3] for s in near) / len(near)
-            scaled.append(lat * REFERENCE_PROBE_S / probe)
+            scaled.append(lat * (REFERENCE_PROBE_S / probe) ** exponent)
         best.append(min(scaled))
     return best
 
@@ -182,10 +199,13 @@ def end_to_end(args, deadline: float) -> tuple[dict, dict, list[str], list[str]]
         if len(digests) != 1:
             errors.append(f"passes of one seed disagree: digests {sorted(digests)}")
         notes.append(f"digest {args.workload} seed={args.seed}: {first['digest']}")
-    cpu = reference_cpu(passes)
+    from perfbench.workloads import workload
+
+    spec = workload(args.workload)
+    cpu = reference_cpu([p["samples"] for p in passes], spec.speed_exponent)
     attempted = first["attempted"]
     values = {
-        "setup_s": statistics.median(p["setup_s"] for p in passes),
+        "setup_s": statistics.median(reference_cpu([setup_samples(p)]) for p in passes),
         "req_per_cpu_s": attempted / cpu,
         "peak_rss_mb": max(p["peak_rss_mb"] for p in passes),
         "relative_quality": first["relative_quality"],
@@ -193,10 +213,7 @@ def end_to_end(args, deadline: float) -> tuple[dict, dict, list[str], list[str]]
     if "latencies_ms" in first:
         # Live: each request's round trip at reference speed in its fastest
         # pass; a request that failed in any pass misses the SLO.
-        from perfbench.workloads import LIVE_WORKLOADS
-
-        spec = LIVE_WORKLOADS[args.workload]
-        per_request = request_latencies(passes, spec.sample_every)
+        per_request = request_latencies(passes, spec.sample_every, spec.speed_exponent)
         answered = [lat for lat in per_request if lat is not None]
         values["slo_met_ratio"] = sum(lat <= spec.slo_ms for lat in answered) / attempted
         values["p50_latency_ms"] = percentile(answered, 0.50) if answered else 0.0
@@ -229,13 +246,20 @@ def traced(args, deadline: float) -> tuple[dict, dict, list[str], list[str]]:
             )
         notes.append(f"digest {args.workload} seed={args.seed}: {plain['digest']}")
     values = dict(spans["per_layer"])
-    # Timed-run CPU of both processes, each rescaled by its own typical
-    # probe time so that a change in machine speed between them cancels.
-    values["trace.overhead_ratio"] = (spans["timed_cpu_s"] / spans["probe_s"]) / (
-        plain["timed_cpu_s"] / plain["probe_s"]
+    # Both passes sample at the same points of the work, so their timed
+    # CPU is compared stretch by stretch at reference speed.
+    from perfbench.workloads import workload
+
+    exponent = workload(args.workload).speed_exponent
+    values["trace.overhead_ratio"] = reference_cpu([spans["samples"]], exponent) / reference_cpu(
+        [plain["samples"]], exponent
     )
     accounting = spans["accounting"]
     accounting["trace.overhead_ratio"] = values["trace.overhead_ratio"]
+    notes.append(
+        f"timed CPU: traced {spans['timed_cpu_s']:.3f} s, untraced {plain['timed_cpu_s']:.3f} s"
+        " (raw process CPU, probes left out)"
+    )
     out = ROOT / ".perfbench" / f"trace-{args.workload}.json"
     out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(accounting, indent=2, sort_keys=True))

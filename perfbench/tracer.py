@@ -50,8 +50,10 @@ class Tracer:
         ``observe(tracer, args, kwargs, result)`` may update :attr:`counts`
         after each call; ``request_arg`` is the positional index of an
         argument carrying a request id (a ``Request`` or a ``CompletedRequest``).  A target the
-        program no longer has is recorded in :attr:`missing` and skipped, so
-        the traced run survives refactors with that layer reading zero.
+        program no longer has is recorded in :attr:`missing` and skipped;
+        the traced run then fails its checks, so a refactor that renames a
+        layer function has to update ``layers.TARGETS`` instead of silently
+        reading zero for that layer.
         """
         try:
             owner = importlib.import_module(module)
@@ -68,10 +70,6 @@ class Tracer:
                 original.fset,
                 original.fdel,
                 original.__doc__,
-            )
-        elif isinstance(original, (staticmethod, classmethod)):
-            replacement = type(original)(
-                self._wrap_sync(original.__func__, name, observe, request_arg)
             )
         elif inspect.iscoroutinefunction(original):
             replacement = self._wrap_async(original, name)
@@ -110,6 +108,10 @@ class Tracer:
             self.missing.append(f"{type(obj).__name__}.{attr}")
             return
         setattr(obj, attr, self._wrap_async(original, name))
+
+    def wrap(self, fn, name: str):
+        """``fn`` timed as span ``name`` on every call."""
+        return self._wrap_sync(fn, name, None, None)
 
     def uninstall(self) -> None:
         """Put back every patched attribute (newest first)."""

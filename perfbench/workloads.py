@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 #: ``--seconds`` value the workload sizes below were calibrated for (a
 #: 2-vCPU x86 box): at this value one measured pass takes 2-5 CPU seconds
-#: and a whole run of three passes 20-35 s, so that the 92 runs of a
+#: and a whole run of three passes 12-36 s, so that the 92 runs of a
 #: two-commit comparison fit in under an hour.
 REFERENCE_SECONDS = 10
 
@@ -40,8 +40,14 @@ class SimWorkload:
     window_minutes: int
     #: Scales the trace's rates (offered load per worker kept fixed).
     rate_scale: float = 1.0
+    #: ``(minute offset into the window, factor)`` pairs that multiply
+    #: single minutes of the window on top of ``rate_scale``.
+    surges: tuple = ()
     dataset_size: int = 3000
     config: dict = field(default_factory=dict)
+    #: How much more than the speed probe this workload slows down when
+    #: the shared machine does (see the note above ``workload()``).
+    speed_exponent: float = 1.0
 
 
 SIM_WORKLOADS = {
@@ -55,6 +61,7 @@ SIM_WORKLOADS = {
         window_start=0,
         window_minutes=1,
         dataset_size=4000,
+        speed_exponent=1.3,
     ),
     "burst8": SimWorkload(
         scenario="bursty-load-switch",
@@ -65,6 +72,7 @@ SIM_WORKLOADS = {
         window_start=128,
         window_minutes=45,
         dataset_size=3000,
+        speed_exponent=1.1,
     ),
     "tenant-churn": SimWorkload(
         scenario="chaos-eviction-storm",
@@ -74,8 +82,14 @@ SIM_WORKLOADS = {
         window_minutes=10,
         # The scenario's 100 qpm is sized for 8 workers; 32 get 4x the rate.
         rate_scale=4.0,
+        # Minute 5 doubles to 800 qpm, past the fleet's admission rate (each
+        # tenant's bucket refills at half of it), so fair-share admission
+        # delays both tenants and drains its queues round-robin.  At 700
+        # qpm nothing was delayed; at 800 about 500 requests are.
+        surges=((5, 2.0),),
         dataset_size=5000,
         config={"num_workers": 32, "cache_shards": 4, "cache_replication": 1},
+        speed_exponent=1.25,
     ),
 }
 
@@ -95,6 +109,7 @@ class LiveWorkload:
     slo_ms: float
     #: Requests between two sampling points of a pass.
     sample_every: int = 25
+    speed_exponent: float = 1.0
 
 
 LIVE_WORKLOADS = {
@@ -106,6 +121,22 @@ LIVE_WORKLOADS = {
         slo_ms=50.0,
     ),
 }
+
+
+# A workload's host time grows as (probe time) ** ``speed_exponent`` when
+# the shared machine slows down; ``run.py`` rescales by that power.  The
+# exponents were fitted on a 2-vCPU Xeon in two ways: stretch by stretch
+# over 4-5 passes of seed 1 (slopes 1.23, 1.02, 1.19 and 1.02 for fleet288,
+# burst8, tenant-churn and gateway-closed), and pass by pass over the 30
+# passes of a ten-seed batch (1.33, 1.19, 1.29, 1.02).  Each value lies
+# between the two fits.
+# Rescaling by the probe alone left fleet288's figures about 10% higher in
+# a fast spell of the machine than in a slow one.
+
+
+def workload(name: str):
+    """The workload spec named ``name``, simulated or live."""
+    return SIM_WORKLOADS.get(name) or LIVE_WORKLOADS[name]
 
 
 def size_factor(seconds: float) -> float:
@@ -126,6 +157,9 @@ def sim_scenario(name: str, seconds: float):
     params["duration_minutes"] = max(params.get("duration_minutes", 0), end)
     full = TraceLibrary(seed=0).by_name(spec.trace, **params)
     qpm = [q * spec.rate_scale for q in full.qpm[spec.window_start : end]]
+    for minute, factor in spec.surges:
+        if minute < len(qpm):
+            qpm[minute] *= factor
     base = get_scenario(spec.scenario)
     preset = Preset(
         dataset_size=spec.dataset_size,
