@@ -41,6 +41,7 @@ class Preset:
     network_lookups: int
     embed_lookups: int
     e2e_trace_minutes: int
+    dispatch_requests: int
 
 
 PRESETS = {
@@ -56,6 +57,7 @@ PRESETS = {
         network_lookups=20_000,
         embed_lookups=2_000,
         e2e_trace_minutes=12,
+        dispatch_requests=3_000,
     ),
     # The numbers that go into the checked-in BENCH_PR3.json.
     "full": Preset(
@@ -69,6 +71,7 @@ PRESETS = {
         network_lookups=100_000,
         embed_lookups=10_000,
         e2e_trace_minutes=45,
+        dispatch_requests=20_000,
     ),
 }
 
@@ -513,6 +516,109 @@ def bench_end_to_end(preset: Preset) -> dict:
     }
 
 
+# --------------------------------------------------------------------------- #
+# 7. Dispatch: per-rank index vs per-request fleet scans
+# --------------------------------------------------------------------------- #
+
+#: Fleet sizes the dispatch leg replays at: the catalog's small presets and
+#: the full-preset ``fig16-xl`` fleet.
+DISPATCH_FLEETS = (8, 288)
+
+
+def _dispatch_replay(num_workers: int, requests: int, indexed: bool) -> tuple[float, list[int]]:
+    """Route one seeded request sequence through a heterogeneous fleet.
+
+    Arrivals keep the fleet at ~80% load; targets and tenant floors are
+    drawn from a fixed seed, and every 250 requests the fleet is re-placed
+    over the six AC ranks (some ranks left empty, so the nearest-rank walk
+    runs too).  ``indexed=False`` detaches the workers from the cluster's
+    dispatch index and routes with the linear legacy scan, as the scheduler
+    did before the index existed.  Returns (CPU seconds, chosen worker ids).
+    """
+    from repro.cluster.cluster import GpuCluster
+    from repro.core.scheduler import PromptScheduler
+    from repro.models.zoo import ModelZoo
+
+    zoo = ModelZoo(gpu="A100")
+    levels = zoo.levels(Strategy.AC)
+    engine = SimulationEngine(seed=0)
+    gpus = ("A100", "A10G", "V100")
+    cluster = GpuCluster(
+        engine,
+        zoo,
+        num_workers=num_workers,
+        gpu_types=[gpus[i % len(gpus)] for i in range(num_workers)],
+        memory_capacity_gib=None,
+    )
+    scheduler = PromptScheduler(cluster, num_levels=len(levels))
+    if not indexed:
+        for worker in cluster.workers:
+            worker._owner = None
+    prompts = PromptDataset.synthetic(count=200, seed=3).prompts
+    rng = np.random.default_rng(11)
+    targets = rng.integers(0, len(levels), size=requests)
+    floors = rng.integers(0, len(levels), size=requests)
+    floored = rng.random(size=requests) < 0.2
+    gap_s = 3.5 / (0.8 * num_workers)
+    chosen: list[int] = []
+    gc.collect()
+    start = time.process_time()
+    for i in range(requests):
+        if i % 250 == 0:
+            used = rng.choice(len(levels), size=3, replace=False)
+            placement = rng.choice(used, size=num_workers)
+            cluster.apply_assignment(
+                {w.worker_id: levels[int(r)] for w, r in zip(cluster.workers, placement)}
+            )
+        target = int(targets[i])
+        max_rank = int(floors[i]) if floored[i] else None
+        if indexed:
+            worker = scheduler._find_worker(target, max_rank=max_rank)
+        else:
+            worker = legacy.legacy_find_worker(cluster, target, max_rank=max_rank)
+        chosen.append(worker.worker_id)
+        request = Request(
+            request_id=i,
+            prompt=prompts[i % len(prompts)],
+            arrival_time_s=engine.now,
+            strategy=Strategy.AC,
+            predicted_rank=target,
+            assigned_rank=worker.level.rank,
+        )
+        cluster.dispatch(request, worker.worker_id)
+        engine.run(until=engine.now + gap_s)
+    return time.process_time() - start, chosen
+
+
+def bench_dispatch(preset: Preset) -> dict:
+    """Eq. 3 routing on the dispatch index vs the legacy linear scan.
+
+    Both replays see the same seeded sequence; ``results_match`` requires
+    every chosen worker id to agree at every fleet size.  The headline
+    ``speedup`` is at the largest fleet.
+    """
+    n = preset.dispatch_requests
+    fleets = {}
+    for num_workers in DISPATCH_FLEETS:
+        legacy_s, legacy_ids = _dispatch_replay(num_workers, n, indexed=False)
+        optimized_s, optimized_ids = _dispatch_replay(num_workers, n, indexed=True)
+        fleets[str(num_workers)] = {
+            "legacy_s": legacy_s,
+            "optimized_s": optimized_s,
+            "speedup": legacy_s / optimized_s,
+            "results_match": legacy_ids == optimized_ids,
+        }
+    largest = fleets[str(DISPATCH_FLEETS[-1])]
+    return {
+        "requests": n,
+        "fleets": fleets,
+        "legacy_s": largest["legacy_s"],
+        "optimized_s": largest["optimized_s"],
+        "speedup": largest["speedup"],
+        "results_match": all(f["results_match"] for f in fleets.values()),
+    }
+
+
 ALL_BENCHMARKS = {
     "vectordb_flat_search": bench_vectordb,
     "vectordb_hnsw_tradeoff": bench_hnsw,
@@ -522,4 +628,5 @@ ALL_BENCHMARKS = {
     "network_condition": bench_network,
     "prompt_embedding": bench_embedder,
     "end_to_end_fig16": bench_end_to_end,
+    "dispatch": bench_dispatch,
 }

@@ -99,7 +99,9 @@ class LegacyMinuteStats:
 class LegacyMetricsCollector:
     """The seed per-request object-list collector (pre-columnar)."""
 
-    def __init__(self, slo: SloPolicy | None = None) -> None:
+    def __init__(self, slo: SloPolicy | None = None, retain_completed: bool = True) -> None:
+        # ``retain_completed`` is accepted for interface parity with the
+        # live collector; the seed implementation always retains samples.
         self.slo = slo or SloPolicy()
         self.samples: list[ServedSample] = []
         self._minutes: dict[int, LegacyMinuteStats] = {}
@@ -405,3 +407,45 @@ def legacy_sample_target(shift_map, affinity_rank, rng) -> int:
     """Seed PASM sampling: ``Generator.choice`` re-derives the CDF per call."""
     row = shift_map.matrix[affinity_rank]
     return int(rng.choice(len(row), p=row / row.sum()))
+
+
+# --------------------------------------------------------------------------- #
+# 7. Dispatch: Eq. 3 as a scan of the fleet on every request
+# --------------------------------------------------------------------------- #
+
+
+def legacy_select(candidates, prefer=None, tolerance_s: float = 0.0):
+    """The linear Eq. 3 ``WorkerSelector.select``: ``min`` over the list."""
+    if not candidates:
+        raise ValueError("no candidate workers")
+    best = min(candidates, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
+    if prefer is None:
+        return best
+    preferred = [w for w in candidates if prefer(w.worker_id)]
+    if not preferred:
+        return best
+    near = min(preferred, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
+    if near.estimated_backlog_s() <= best.estimated_backlog_s() + tolerance_s:
+        return near
+    return best
+
+
+def legacy_find_worker(
+    cluster, target_rank: int, max_rank=None, prefer=None, tolerance_s: float = 0.0
+):
+    """The scanning ``PromptScheduler._find_worker``: rebuilds the healthy
+    list, filters it by rank and selects, all per request."""
+    healthy = [w for w in cluster.workers if w.is_active]
+    if max_rank is not None:
+        healthy = [w for w in healthy if w.level.rank <= max_rank] or healthy
+    if not healthy:
+        return None
+    exact = [w for w in healthy if w.level.rank == target_rank]
+    if exact:
+        return legacy_select(exact, prefer=prefer, tolerance_s=tolerance_s)
+    by_distance = sorted(
+        healthy, key=lambda w: (abs(w.level.rank - target_rank), w.level.rank)
+    )
+    nearest_rank = by_distance[0].level.rank
+    candidates = [w for w in healthy if w.level.rank == nearest_rank]
+    return legacy_select(candidates, prefer=prefer, tolerance_s=tolerance_s)

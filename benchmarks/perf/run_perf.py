@@ -58,6 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         claims["collector_memory_ratio"] = benchmarks["metrics_summary"]["memory_ratio"]
     if "end_to_end_fig16" in benchmarks:
         claims["end_to_end_speedup"] = benchmarks["end_to_end_fig16"]["speedup"]
+    if "dispatch" in benchmarks:
+        claims["dispatch_speedup"] = benchmarks["dispatch"]["speedup"]
 
     # Stamp the trajectory point from the output name (BENCH_PR6.json ->
     # "PR6") so re-running the harness for a later PR keeps the history

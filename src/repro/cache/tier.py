@@ -48,6 +48,7 @@ from __future__ import annotations
 import bisect
 from collections import OrderedDict, defaultdict
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -568,15 +569,23 @@ class CacheTier:
         """
         return self.owner_shard(prompt.tenant, prompt.prompt_id)
 
-    def worker_prefers(self, prompt: Prompt, worker_id: int) -> bool:
-        """True when ``worker_id`` is placed near the shard likely to hit.
+    def worker_preference(self, prompt: Prompt) -> Callable[[int], bool]:
+        """``worker_id -> bool``: True for workers placed near the shard
+        likely to hit ``prompt``.
 
         Workers map onto cache nodes round-robin over the sorted live node
-        ids, mirroring how racks would be cabled to cache hosts.
+        ids, mirroring how racks would be cabled to cache hosts.  The node
+        list and target shard are resolved once here, so a router can ask
+        about every candidate worker without re-hashing the prompt.
         """
         nodes = self.ring.nodes
         target = self.likely_shard(prompt)
-        return nodes[worker_id % len(nodes)] == target
+        count = len(nodes)
+        return lambda worker_id: nodes[worker_id % count] == target
+
+    def worker_prefers(self, prompt: Prompt, worker_id: int) -> bool:
+        """True when ``worker_id`` is placed near the shard likely to hit."""
+        return self.worker_preference(prompt)(worker_id)
 
     # ------------------------------------------------------------------ #
     # Retrieval path

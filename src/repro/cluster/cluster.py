@@ -10,10 +10,19 @@ out on scale-in without dropping their in-flight batch.  A fleet log records
 every rotation change so experiments can report fleet-size minute series,
 GPU-hours and dollar cost.  With a homogeneous reference-GPU fleet and no
 scaling events the behaviour is bit-for-bit the original fixed pool.
+
+Dispatch runs on an index the cluster keeps up to date as worker state
+changes, so routing a request never scans the fleet.  Each approximation
+rank has a lazy min-heap of ``(estimated_backlog_s, worker_id, version)``
+over its active workers; a worker tells the cluster after every change to
+its Eq. 3 key or lifecycle, which bumps its version and pushes a fresh
+entry, and lookups pop entries whose version is stale.  The active set and
+the fleet aggregates the control loops poll are maintained the same way.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -85,15 +94,27 @@ class GpuCluster:
         self._tenant_weights = dict(tenant_weights) if tenant_weights else None
         level = initial_level or zoo.exact_level(Strategy.AC)
         self._initial_level = level
-        self.workers: list[Worker] = [
-            self._make_worker(
-                worker_id=i,
-                level=level,
-                gpu=gpu_types[i] if gpu_types is not None else None,
-                provisioning=False,
+        # Dispatch index, per worker id: the version of its live heap entry,
+        # whether it counts as in rotation, and the queued requests the
+        # aggregate holds for it.
+        self._versions: list[int] = []
+        self._in_rotation: list[bool] = []
+        self._queued: list[int] = []
+        #: Per-rank lazy heaps of ``(estimated_backlog_s, worker_id, version)``.
+        self._buckets: dict[int, list[tuple[float, int, int]]] = {}
+        self._active: tuple[Worker, ...] | None = None
+        self._num_active = 0
+        self._queued_total = 0
+        self.workers: list[Worker] = []
+        for i in range(num_workers):
+            self._add_worker(
+                self._make_worker(
+                    worker_id=i,
+                    level=level,
+                    gpu=gpu_types[i] if gpu_types is not None else None,
+                    provisioning=False,
+                )
             )
-            for i in range(num_workers)
-        ]
         #: Scale events observed (provisioned workers entering rotation /
         #: workers drained out); failures do not count as scaling.
         self.workers_added = 0
@@ -129,6 +150,75 @@ class GpuCluster:
         )
 
     # ------------------------------------------------------------------ #
+    # Dispatch index
+    # ------------------------------------------------------------------ #
+    def _add_worker(self, worker: Worker) -> None:
+        self.workers.append(worker)
+        self._versions.append(0)
+        self._in_rotation.append(False)
+        self._queued.append(0)
+        worker._owner = self
+        self._reindex(worker)
+
+    def _reindex(self, worker: Worker) -> None:
+        """Refresh ``worker``'s index entries after a change to its Eq. 3
+        key or its lifecycle state."""
+        worker_id = worker.worker_id
+        active = worker.is_active
+        if active != self._in_rotation[worker_id]:
+            self._in_rotation[worker_id] = active
+            self._active = None
+            self._num_active += 1 if active else -1
+        self._sync_queued(worker)
+        version = self._versions[worker_id] + 1
+        self._versions[worker_id] = version
+        if not active:
+            return
+        rank = worker.level.rank
+        heap = self._buckets.get(rank)
+        if heap is None:
+            heap = self._buckets[rank] = []
+        heapq.heappush(heap, (*worker.dispatch_key(), version))
+        if len(heap) > self._compaction_limit():
+            versions = self._versions
+            heap[:] = [entry for entry in heap if versions[entry[1]] == entry[2]]
+            heapq.heapify(heap)
+
+    def _compaction_limit(self) -> int:
+        """A rank's heap is rebuilt from its live entries once it grows past
+        this many entries, which bounds the index's memory in the number of
+        workers and keeps the rebuilds amortised O(1) per push."""
+        return 2 * len(self.workers) + 16
+
+    def _sync_queued(self, worker: Worker) -> None:
+        """Fold ``worker``'s current queue length into the fleet total."""
+        worker_id = worker.worker_id
+        queued = worker.queue_length if self._in_rotation[worker_id] else 0
+        self._queued_total += queued - self._queued[worker_id]
+        self._queued[worker_id] = queued
+
+    def indexed_ranks(self) -> list[int]:
+        """Ranks that have held an active worker (some may be empty now)."""
+        return list(self._buckets)
+
+    def least_loaded_at(self, rank: int) -> Worker | None:
+        """The active worker at ``rank`` with the smallest
+        :meth:`Worker.dispatch_key`, or None when the rank has none.
+
+        Amortised O(log W): stale heap heads are popped on the way.
+        """
+        heap = self._buckets.get(rank)
+        if not heap:
+            return None
+        versions = self._versions
+        while heap:
+            _, worker_id, version = heap[0]
+            if versions[worker_id] == version:
+                return self.workers[worker_id]
+            heapq.heappop(heap)
+        return None
+
+    # ------------------------------------------------------------------ #
     # Topology queries
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -140,9 +230,15 @@ class GpuCluster:
         return len(self.workers)
 
     @property
-    def healthy_workers(self) -> list[Worker]:
-        """Workers currently in rotation and able to serve."""
-        return [w for w in self.workers if w.is_active]
+    def healthy_workers(self) -> tuple[Worker, ...]:
+        """Workers currently in rotation and able to serve, in id order.
+
+        Cached; rebuilt only after a worker enters or leaves the rotation.
+        """
+        active = self._active
+        if active is None:
+            active = self._active = tuple(w for w in self.workers if w.is_active)
+        return active
 
     @property
     def provisioning_workers(self) -> list[Worker]:
@@ -152,7 +248,7 @@ class GpuCluster:
     @property
     def fleet_size(self) -> int:
         """Number of workers currently in rotation."""
-        return len(self.healthy_workers)
+        return self._num_active
 
     def total_speed_factor(self, include_provisioning: bool = False) -> float:
         """Sum of relative GPU speeds over the active fleet (Eq. 1 units).
@@ -179,7 +275,8 @@ class GpuCluster:
         return peak * self.total_speed_factor(include_provisioning)
 
     def workers_at_level(self, rank: int, strategy: Strategy | str | None = None) -> list[Worker]:
-        """Healthy workers serving at approximation rank ``rank``."""
+        """Healthy workers serving at approximation rank ``rank`` (a scan;
+        :meth:`least_loaded_at` answers the dispatch question in O(log W))."""
         strategy = Strategy(strategy) if strategy is not None else None
         return [
             w
@@ -215,7 +312,7 @@ class GpuCluster:
         worker legitimately holds up to ``max_batch_size`` requests in
         service, so counting those as backlog would misread steady state.
         """
-        return sum(w.queue_length for w in self.healthy_workers)
+        return self._queued_total
 
     def backlog_slack(self, per_worker: float = 1.0) -> float:
         """Queued requests the cluster holds in normal operation.
@@ -224,7 +321,7 @@ class GpuCluster:
         pass, so the slack scales with the batch limit; control loops treat
         only queue depth beyond this as backlog.
         """
-        return per_worker * len(self.healthy_workers) * max(1, self.max_batch_size)
+        return per_worker * self._num_active * max(1, self.max_batch_size)
 
     # ------------------------------------------------------------------ #
     # Placement
@@ -280,7 +377,7 @@ class GpuCluster:
             gpu=gpu,
             provisioning=True,
         )
-        self.workers.append(worker)
+        self._add_worker(worker)
         warmup_s = worker.load_time_for_level(level)
 
         def enroll() -> None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.cache.approximate import ApproximateCache
 from repro.cluster.memory import GpuMemory
@@ -38,6 +38,9 @@ from repro.models.latency import LatencyModel
 from repro.models.variants import SM_VARIANTS
 from repro.models.zoo import ApproximationLevel, ModelZoo, Strategy
 from repro.simulation.engine import Event, SimulationEngine
+
+if TYPE_CHECKING:
+    from repro.cluster.cluster import GpuCluster
 
 
 class WorkerState(str, Enum):
@@ -202,6 +205,14 @@ class Worker:
         #: Set by the cluster when the provision timer elapsed while this
         #: worker was failed; invoked on recovery to enroll it then.
         self._deferred_enroll: Callable[[], None] | None = None
+        #: The cluster whose dispatch index holds this worker (None for a
+        #: standalone worker).  It is told after every change to the
+        #: worker's Eq. 3 key (:meth:`dispatch_key`) or lifecycle state.
+        self._owner: GpuCluster | None = None
+
+    def _notify(self) -> None:
+        if self._owner is not None:
+            self._owner._reindex(self)
 
     # ------------------------------------------------------------------ #
     # Level / strategy management
@@ -236,6 +247,7 @@ class Worker:
         if self.memory.is_resident(target_model):
             self._level = level
             self._pending_level = None
+            self._notify()
             return 0.0
         if (
             self._pending_level is not None
@@ -298,6 +310,7 @@ class Worker:
         new_model = new_level.model_name
         if old_model != new_model:
             self.memory.unload(old_model)
+        self._notify()
         if self.blocking_load:
             self._start_next()
 
@@ -365,6 +378,13 @@ class Worker:
         """Work already queued/in service, in seconds of GPU time (Eq. 3)."""
         return self.outstanding * self.effective_request_latency_s()
 
+    def dispatch_key(self) -> tuple[float, int]:
+        """Eq. 3 ordering: least queued work first, ties to the lower id.
+
+        Worker ids are unique, so this is a total order over a fleet.
+        """
+        return self.estimated_backlog_s(), self.worker_id
+
     def enqueue(self, request: Request) -> None:
         """Admit a request to this worker's queue."""
         if not self.is_active:
@@ -374,6 +394,7 @@ class Worker:
         self._queue.append(request)
         if not self._batch:
             self._start_next()
+        self._notify()
 
     # ------------------------------------------------------------------ #
     # Serving
@@ -426,6 +447,10 @@ class Worker:
         batch = [self._queue.popleft() for _ in range(batch_size)]
         self._batch = batch
         self.state = WorkerState.BUSY
+        # Queue to batch leaves ``outstanding`` (the Eq. 3 key) unchanged;
+        # only the cluster's queued-request count moves.
+        if self._owner is not None:
+            self._owner._sync_queued(self)
         start = self.engine.now
         record_level = self._level
         profiles = [self._service_profile(request) for request in batch]
@@ -512,6 +537,7 @@ class Worker:
         if self.state in (WorkerState.FAILED, WorkerState.RETIRED):
             return
         self._batch = []
+        self._notify()
         batch_size = len(batch)
         self.stats.requests_served += batch_size
         self.stats.busy_time_s += batch_time
@@ -563,6 +589,7 @@ class Worker:
             return
         self.state = WorkerState.IDLE
         self.enrolled_at_s = self.engine.now
+        self._notify()
 
     def begin_drain(self) -> list[Request]:
         """Leave the rotation gracefully (scale-in).
@@ -578,13 +605,16 @@ class Worker:
         orphans = list(self._queue)
         self._queue.clear()
         self._cancel_forming()
+        # Leave the rotation before any orphan is re-routed, as ``fail``
+        # does: re-routing must not hand a request back to this worker.
+        if self._batch:
+            self.state = WorkerState.DRAINING
+            self._notify()
+        else:
+            self._retire()
         if self.on_requeue is not None:
             for request in orphans:
                 self.on_requeue(request)
-        if self._batch:
-            self.state = WorkerState.DRAINING
-        else:
-            self._retire()
         return orphans
 
     def _retire(self) -> None:
@@ -599,6 +629,7 @@ class Worker:
         if self._serve_event is not None:
             self._serve_event.cancel()
             self._serve_event = None
+        self._notify()
 
     # ------------------------------------------------------------------ #
     # Failures
@@ -631,6 +662,7 @@ class Worker:
         if self.enrolled_at_s is not None:
             self._failed_at_s = self.engine.now
         self._pending_level = None
+        self._notify()
         if self.on_requeue is not None:
             for request in orphans:
                 self.on_requeue(request)
@@ -660,6 +692,7 @@ class Worker:
             raise ValueError("degrade factor must be in (0, 1)")
         self._degrade_factor = float(factor)
         self.speed_factor = self._base_speed_factor * self._degrade_factor
+        self._notify()
 
     def restore_speed(self) -> None:
         """End a gray failure, returning the worker to full speed."""
@@ -667,6 +700,7 @@ class Worker:
             return
         self._degrade_factor = None
         self.speed_factor = self._base_speed_factor
+        self._notify()
 
     def recover(self, level: ApproximationLevel | None = None) -> None:
         """Bring a failed worker back, optionally at a new level."""
@@ -690,6 +724,7 @@ class Worker:
                 enroll()
             return
         self.state = WorkerState.IDLE
+        self._notify()
 
     # ------------------------------------------------------------------ #
     # Introspection

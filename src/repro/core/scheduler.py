@@ -4,11 +4,16 @@ For each incoming prompt the scheduler asks the classifier for the prompt's
 optimal approximation level, shifts it through the PASM to a level the
 cluster can actually absorb, and then picks the concrete worker at that
 level with the smallest expected wait (queue length x per-request latency).
+
+Routing reads the cluster's dispatch index: the target level's least-loaded
+worker is the head of that level's heap, so a request costs amortised
+O(log W) instead of a scan of the fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +43,10 @@ class WorkerSelector:
     queue over the Fig. 14 speed-up of its level, so at equal queue depth a
     batching worker is cheaper than a batch-size-1 one.  With batching
     disabled the estimate reduces to ``outstanding * level.latency_s``.
+
+    The ordering is :meth:`Worker.dispatch_key`.  The cluster's dispatch
+    index keeps every level's active workers in that order, so
+    :meth:`select_at` answers for a whole level without scanning it.
     """
 
     def select(
@@ -57,16 +66,37 @@ class WorkerSelector:
         """
         if not candidates:
             raise ValueError("no candidate workers")
-        best = min(candidates, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
+        best = min(candidates, key=Worker.dispatch_key)
         if prefer is None:
             return best
         preferred = [w for w in candidates if prefer(w.worker_id)]
         if not preferred:
             return best
-        near = min(preferred, key=lambda w: (w.estimated_backlog_s(), w.worker_id))
+        near = min(preferred, key=Worker.dispatch_key)
         if near.estimated_backlog_s() <= best.estimated_backlog_s() + tolerance_s:
             return near
         return best
+
+    def select_at(
+        self,
+        cluster: GpuCluster,
+        rank: int,
+        prefer=None,
+        tolerance_s: float = 0.0,
+    ) -> Worker | None:
+        """:meth:`select` over every active worker at ``rank`` (None when the
+        rank has none).
+
+        Without a locality preference this is the head of the rank's index
+        heap.  The cache-affinity path weighs preferred workers against the
+        global minimum, which no single heap orders, so it scans the level.
+        """
+        if prefer is None:
+            return cluster.least_loaded_at(rank)
+        candidates = cluster.workers_at_level(rank)
+        if not candidates:
+            return None
+        return self.select(candidates, prefer=prefer, tolerance_s=tolerance_s)
 
 
 class PromptScheduler:
@@ -104,7 +134,7 @@ class PromptScheduler:
         #: Requests served above a tenant's contracted level because no
         #: worker at an allowed level was healthy (capacity emergencies).
         self.floor_breaches = 0
-        #: Shard-aware routing: ``(prompt, worker_id) -> bool`` marking
+        #: Shard-aware routing: ``prompt -> (worker_id -> bool)`` marking
         #: workers near the cache shard likely to hit (installed when the
         #: distributed cache tier is on; None keeps routing byte-identical
         #: to the affinity-free scheduler).
@@ -147,19 +177,20 @@ class PromptScheduler:
         # Re-derive tenant maps against the current base map.
         self.set_shift_map(self._shift_map)
 
-    def set_cache_affinity(self, prefers, tolerance_s: float) -> None:
+    def set_cache_affinity(self, preference, tolerance_s: float) -> None:
         """Install shard-aware routing against the distributed cache tier.
 
-        ``prefers(prompt, worker_id)`` says whether a worker sits near the
-        shard the prompt's retrieval will land on; ``tolerance_s`` bounds
-        how much extra backlog locality may cost.  ``None`` (or a zero
-        tolerance) uninstalls the preference.
+        ``preference(prompt)`` returns a ``worker_id -> bool`` predicate
+        saying whether a worker sits near the shard the prompt's retrieval
+        will land on; it is resolved once per routed prompt.
+        ``tolerance_s`` bounds how much extra backlog locality may cost.
+        ``None`` (or a zero tolerance) uninstalls the preference.
         """
-        if prefers is None or tolerance_s <= 0:
+        if preference is None or tolerance_s <= 0:
             self._cache_affinity = None
             self._cache_affinity_tolerance_s = 0.0
             return
-        self._cache_affinity = prefers
+        self._cache_affinity = preference
         self._cache_affinity_tolerance_s = float(tolerance_s)
 
     def set_strategy(self, strategy: Strategy) -> None:
@@ -212,8 +243,7 @@ class PromptScheduler:
             assigned = max_rank
         prefer = None
         if self._cache_affinity is not None:
-            affinity = self._cache_affinity
-            prefer = lambda worker_id: affinity(prompt, worker_id)  # noqa: E731
+            prefer = self._cache_affinity(prompt)
         worker = self._find_worker(assigned, max_rank=max_rank, prefer=prefer)
         if worker is None:
             return None
@@ -232,7 +262,7 @@ class PromptScheduler:
             strategy=worker.strategy,
         )
 
-    def _eligible_workers(self, max_rank: int | None) -> list[Worker]:
+    def _eligible_workers(self, max_rank: int | None) -> Sequence[Worker]:
         """Healthy workers at levels a tenant's quality floor allows.
 
         Falls back to the full healthy set when no allowed-level worker
@@ -248,26 +278,34 @@ class PromptScheduler:
     def _find_worker(
         self, target_rank: int, max_rank: int | None = None, prefer=None
     ) -> Worker | None:
-        """Worker at the target rank, or the nearest rank with healthy workers.
+        """Eq. 3 worker at the target rank, or at the nearest rank with
+        healthy workers (see :meth:`_nearest_rank`)."""
+        rank = self._nearest_rank(target_rank, max_rank)
+        if rank is None:
+            return None
+        return self.selector.select_at(
+            self.cluster, rank, prefer=prefer, tolerance_s=self._cache_affinity_tolerance_s
+        )
+
+    def _nearest_rank(self, target_rank: int, max_rank: int | None) -> int | None:
+        """The target rank when it has healthy workers, else the nearest one.
 
         Nearest is measured in rank distance with preference for slower
         (lower-rank, higher-quality) levels on ties — shifting down never
-        hurts quality.  ``max_rank`` restricts candidates to a tenant's
-        allowed levels when possible.
+        hurts quality.  ``max_rank`` restricts the walk to a tenant's
+        allowed levels when any of them has a healthy worker.  Only the
+        per-rank index heads are consulted, never the fleet.
         """
-        healthy = self._eligible_workers(max_rank)
-        if not healthy:
+        cluster = self.cluster
+        target_allowed = max_rank is None or target_rank <= max_rank
+        if target_allowed and cluster.least_loaded_at(target_rank) is not None:
+            return target_rank
+        ranks = [r for r in cluster.indexed_ranks() if cluster.least_loaded_at(r) is not None]
+        if max_rank is not None:
+            ranks = [r for r in ranks if r <= max_rank] or ranks
+        if not ranks:
             return None
-        tolerance = self._cache_affinity_tolerance_s
-        exact = [w for w in healthy if w.level.rank == target_rank]
-        if exact:
-            return self.selector.select(exact, prefer=prefer, tolerance_s=tolerance)
-        by_distance = sorted(
-            healthy, key=lambda w: (abs(w.level.rank - target_rank), w.level.rank)
-        )
-        nearest_rank = by_distance[0].level.rank
-        candidates = [w for w in healthy if w.level.rank == nearest_rank]
-        return self.selector.select(candidates, prefer=prefer, tolerance_s=tolerance)
+        return min(ranks, key=lambda r: (abs(r - target_rank), r))
 
     def _protect_slo(
         self,

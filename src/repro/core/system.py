@@ -98,7 +98,7 @@ class ArgusSystem(BaseServingSystem):
             # Shard-aware routing: prefer workers near the cache shard the
             # prompt's retrieval will land on, within a backlog tolerance.
             self.scheduler.set_cache_affinity(
-                self.cache.worker_prefers,
+                self.cache.worker_preference,
                 tolerance_s=self.config.cache_affinity_tolerance_s,
             )
         self.allocator = Allocator(
@@ -256,7 +256,7 @@ class ArgusSystem(BaseServingSystem):
         last = self.allocator.last_record
         if last is not None and now - last.time_s < self.config.backlog_recalibration_min_gap_s:
             return
-        if not self.cluster.healthy_workers:
+        if self.cluster.fleet_size == 0:
             return
         if self.cluster.total_queued_requests() <= self.cluster.backlog_slack(threshold):
             return
