@@ -14,7 +14,7 @@ removed*, not parallel slack: each shard's join-shortest-expected-wait route
 scan covers only its fleet partition (W/N workers instead of W), which is
 the O(W) term sharding exists to split.
 
-Three control-plane benchmarks ride along:
+Two control-plane benchmarks ride along:
 
 * ``shard_autoscale`` — the ``sharded-autoscale`` scenario under per-shard
   autoscalers and the coordinator budget broker, checked for repeat
@@ -22,10 +22,7 @@ Three control-plane benchmarks ride along:
   holding at every barrier;
 * ``tenant_partition`` — coordinator-side tenant stream slicing vs the old
   per-shard full-stream filter walk (the O(shards x stream) term the
-  partitioner removes), checked for identical per-shard slices; and
-* ``shard_stealing`` — the skewed ``sharded-steal`` scenario with cross-
-  shard work stealing off vs on; the "speedup" is the hot tenant's p99
-  ratio, checked for conserved arrivals and an actual p99 drop.
+  partitioner removes), checked for identical per-shard slices.
 
 Usage::
 
@@ -168,10 +165,10 @@ def _bench_autoscale(preset: str, seed: int) -> dict:
 
 def _bench_tenant_partition(preset: str, seed: int, repeats: int = 3) -> dict:
     """Coordinator tenant-stream slicing vs the per-shard full-stream walk."""
-    scenario = get_scenario("sharded-steal")
+    scenario = get_scenario("sharded-autoscale")
     preset_spec = scenario.preset(preset)
     # Four single-tenant shards make the removed O(shards x stream) term
-    # visible; the checked-in two-tenant scenario would cap the sweep at 2.
+    # visible on the scenario's twitter trace.
     tenants = [
         {"name": f"t{i}", "traffic_share": 0.25, "extra_qpm": [60.0] * 8}
         for i in range(4)
@@ -216,49 +213,6 @@ def _bench_tenant_partition(preset: str, seed: int, repeats: int = 3) -> dict:
         "speedup": legacy_s / sliced_s,
         "results_match": not failures,
     }
-
-
-def _bench_stealing(preset: str, seed: int) -> dict:
-    """Cross-shard work stealing off vs on: hot-tenant p99 ratio."""
-    scenario = get_scenario("sharded-steal")
-    on, on_wall = _timed_sharded(scenario, preset, seed, shards=2)
-    # The registry scenario ships with stealing on; the off leg disables it.
-    off_run, off_wall = _timed_sharded(
-        _with_config(scenario, {"shard_work_stealing": False}), preset, seed, shards=2
-    )
-
-    def _hot(run):
-        return next(t for t in run.summary.tenants if t.name == "hot")
-
-    failures: list[str] = []
-    stealing = on.extras["sharding"].get("stealing", {})
-    if not stealing.get("stolen_total"):
-        failures.append("stealing-on run migrated no work")
-    if on.summary.total_arrivals != off_run.summary.total_arrivals:
-        failures.append("arrival totals differ between stealing legs")
-    p99_off = _hot(off_run).p99_latency_s
-    p99_on = _hot(on).p99_latency_s
-    if not p99_on < p99_off:
-        failures.append(f"hot p99 did not drop: off={p99_off:.1f}s on={p99_on:.1f}s")
-    return {
-        "shards": 2,
-        "hot_p99_off_s": p99_off,
-        "hot_p99_on_s": p99_on,
-        "stolen_total": stealing.get("stolen_total", 0),
-        "steal_events": len(stealing.get("events", ())),
-        "wall_off_s": off_wall,
-        "wall_on_s": on_wall,
-        "checks_failed": failures,
-        "speedup": p99_off / p99_on if p99_on else 0.0,
-        "results_match": not failures,
-    }
-
-
-def _with_config(scenario, overrides: dict):
-    """A copy of ``scenario`` with extra ArgusConfig overrides."""
-    payload = scenario.to_dict()
-    payload["config"] = {**payload.get("config", {}), **overrides}
-    return type(scenario).from_dict(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -333,13 +287,6 @@ def main(argv: list[str] | None = None) -> int:
         f"sliced {partition['sliced_s']:.3f}s = {partition['speedup']:.2f}x",
         flush=True,
     )
-    print("[shard_stealing] skewed two-tenant off/on ...", flush=True)
-    stealing = _bench_stealing(args.preset, args.seed)
-    print(
-        f"[shard_stealing] done: hot p99 {stealing['hot_p99_off_s']:.1f}s -> "
-        f"{stealing['hot_p99_on_s']:.1f}s ({stealing['stolen_total']} stolen)",
-        flush=True,
-    )
 
     claims = {}
     by_count = {leg["shards"]: leg for leg in legs}
@@ -347,7 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         if shards > 1:
             claims[f"shard_scaling_speedup_{shards}"] = leg["speedup_vs_sequential"]
     claims["tenant_partition_speedup"] = partition["speedup"]
-    claims["stealing_hot_p99_ratio"] = stealing["speedup"]
 
     # `speedup` and `results_match` make each entry legible to
     # check_regression.py's standard ratio/consistency gate.
@@ -360,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         },
         "shard_autoscale": autoscale,
         "tenant_partition": partition,
-        "shard_stealing": stealing,
     }
     payload = {
         "meta": {

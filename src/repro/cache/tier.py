@@ -1,8 +1,9 @@
 """Distributed cache tier: consistent-hash sharded, replicated vector index.
 
 The single-process :class:`~repro.cache.approximate.ApproximateCache` keeps
-one flat index per tenant; BENCH_PR3 puts its HNSW/flat crossover at ~105k
-entries, so million-user caches need *sharding*, not a faster flat scan.
+one flat index per tenant, whose every lookup scans all n entries, so
+million-user caches need *sharding* (at 400k entries, BENCH_PR10 measures
+8-shard fan-out search at 5.8x the flat scan).
 :class:`CacheTier` turns the cache into a service with placement semantics:
 
 - **Placement.** Every logical entry (``tenant:prompt_id``) is owned by one

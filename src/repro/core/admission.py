@@ -37,9 +37,6 @@ class TenantAdmissionStats:
     admitted_after_wait: int = 0
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
-    #: Queued requests migrated to another shard by cross-shard work
-    #: stealing (they complete elsewhere, so offered > admitted here).
-    stolen: int = 0
 
     @property
     def admitted(self) -> int:
@@ -171,30 +168,6 @@ class FairShareAdmission:
         if tenant is not None:
             return len(self._tenants[tenant].queue)
         return sum(len(state.queue) for state in self._tenants.values())
-
-    def steal_tail(self, count: int) -> list[tuple[str, float, Prompt]]:
-        """Pop up to ``count`` queued entries off the backs of the longest
-        tenant queues, for cross-shard migration.
-
-        Repeatedly takes from the longest queue (ties broken by tenant
-        order), newest entries first — the tail is the work least likely to
-        admit soon, so draining it preserves each queue's FIFO head.
-        Returns ``(tenant, offer_time_s, prompt)`` tuples sorted oldest
-        first (stable migration order for the destination).  The entries'
-        ``offered`` accounting stays here at the source; the per-tenant
-        ``stolen`` counter records the migration.
-        """
-        stolen: list[tuple[str, float, Prompt]] = []
-        while len(stolen) < count:
-            name = max(self._order, key=lambda n: len(self._tenants[n].queue))
-            state = self._tenants[name]
-            if not state.queue:
-                break
-            offered_at, prompt = state.queue.pop()
-            self.stats[name].stolen += 1
-            stolen.append((name, offered_at, prompt))
-        stolen.sort(key=lambda entry: (entry[1], entry[0]))
-        return stolen
 
     def offer(self, now: float, prompt: Prompt) -> bool:
         """Offer one request; returns True when admitted immediately.

@@ -28,6 +28,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import logging
 from dataclasses import replace
 from typing import Mapping
 from urllib.parse import parse_qs
@@ -67,6 +68,8 @@ from repro.workloads.tenants import build_runtimes
 #: Added model-seconds when a retrieval attempt hits a network outage
 #: (matches :class:`repro.cluster.worker.Worker`'s default).
 FAILED_RETRIEVAL_PENALTY_S = 0.25
+
+_log = logging.getLogger(__name__)
 
 
 def prompt_from_payload(payload: Mapping) -> Prompt:
@@ -474,14 +477,19 @@ class Gateway:
             return _json_response(200, self.config.to_dict())
         if method == "GET" and path == "/report":
             duration = params.get("duration_minutes")
+            try:
+                seed = int(params["seed"]) if "seed" in params else None
+                duration_minutes = float(duration) if duration else None
+            except ValueError as exc:
+                return _json_response(400, {"error": f"bad query parameter: {exc}"})
             return _json_response(
                 200,
                 self.report_dict(
                     scenario=params.get("scenario", "live"),
                     preset=params.get("preset", "live"),
-                    seed=int(params["seed"]) if "seed" in params else None,
+                    seed=seed,
                     workload=params.get("workload", "live"),
-                    duration_minutes=float(duration) if duration else None,
+                    duration_minutes=duration_minutes,
                 ),
             )
         if method == "POST" and path == "/v1/generate":
@@ -543,23 +551,26 @@ class Gateway:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                body = b""
-                length = int(headers.get("content-length", 0) or 0)
-                if length:
-                    body = await reader.readexactly(length)
-                status, content_type, payload = await self.handle(method.upper(), target, body)
+                try:
+                    length = int(headers.get("content-length", 0) or 0)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # The body's end is unknown, so the rest of the stream
+                    # cannot be framed into further requests: answer, close.
+                    response = _json_response(400, {"error": "invalid Content-Length"})
+                    await _write_response(writer, *response, close=True)
+                    break
+                body = await reader.readexactly(length) if length else b""
+                try:
+                    response = await self.handle(method.upper(), target, body)
+                except Exception:
+                    # One failing request must not take the connection down
+                    # with it; the traceback goes to the log.
+                    _log.exception("handler failed on %s %s", method, target)
+                    response = _json_response(500, {"error": "internal server error"})
                 close = headers.get("connection", "").lower() == "close"
-                writer.write(
-                    (
-                        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                        f"Content-Type: {content_type}\r\n"
-                        f"Content-Length: {len(payload)}\r\n"
-                        f"Connection: {'close' if close else 'keep-alive'}\r\n"
-                        "\r\n"
-                    ).encode("latin-1")
-                )
-                writer.write(payload)
-                await writer.drain()
+                await _write_response(writer, *response, close=close)
                 if close:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -583,3 +594,19 @@ _REASONS = {
 
 def _json_response(status: int, payload: dict) -> tuple[int, str, bytes]:
     return status, "application/json", json.dumps(payload, sort_keys=True).encode()
+
+
+async def _write_response(
+    writer: asyncio.StreamWriter, status: int, content_type: str, payload: bytes, close: bool
+) -> None:
+    writer.write(
+        (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n"
+            "\r\n"
+        ).encode("latin-1")
+    )
+    writer.write(payload)
+    await writer.drain()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
+import re
 from dataclasses import asdict, replace
 
 import pytest
@@ -227,3 +229,58 @@ def test_gateway_full_small_scenario_live():
     )
     assert result.requests_ok == result.requests_sent > 500
     assert not violations(result.contract_results)
+
+
+def test_gateway_answers_malformed_requests_and_handler_errors(caplog):
+    """Bad framing headers and query parameters get a 400, a failing handler
+    a 500; none of them escapes to asyncio or breaks conservation."""
+
+    async def exchange(gateway, raw: bytes) -> list[int]:
+        reader, writer = await asyncio.open_connection(gateway.host, gateway.port)
+        writer.write(raw)
+        await writer.drain()
+        reply = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return [int(status) for status in re.findall(rb"HTTP/1\.1 (\d{3}) ", reply)]
+
+    async def scenario():
+        gateway = Gateway(config=ArgusConfig(num_workers=1), time_scale=500.0)
+        await gateway.start()
+        try:
+            bad_length = await exchange(
+                gateway, b"POST /v1/generate HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}"
+            )
+            negative_length = await exchange(
+                gateway, b"POST /v1/generate HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+            )
+            bad_seed = await exchange(
+                gateway, b"GET /report?seed=abc HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+
+            def broken():
+                raise RuntimeError("collector exploded")
+
+            gateway.metrics_text = broken
+            # The 500 leaves the keep-alive connection serving the next request.
+            after_error = await exchange(
+                gateway,
+                b"GET /metrics HTTP/1.1\r\n\r\n"
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+            status, _ = await gateway.handle_generate({"text": "a quiet harbor at dawn"})
+            assert status == 200
+            return bad_length, negative_length, bad_seed, after_error, gateway.report_dict()
+        finally:
+            await gateway.stop()
+
+    bad_length, negative_length, bad_seed, after_error, report = asyncio.run(scenario())
+    # A bad length leaves the body's end unknown, so the connection closes
+    # after the 400 instead of parsing the unread bytes as a next request.
+    assert bad_length == [400]
+    assert negative_length == [400]
+    assert bad_seed == [400]
+    assert after_error == [500, 200]
+    assert not [r for r in caplog.records if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert report["summary"]["total_arrivals"] == 1
+    assert not violations(verify_report(report, ("conservation",)))
